@@ -1,4 +1,4 @@
-// Ablations of the plan-space switches DESIGN.md calls out:
+// Ablations of the two plan-space switches in OptimizerOptions:
 //   (1) bushy vs left-deep plan enumeration,
 //   (2) the Cartesian-product heuristic on vs off.
 //

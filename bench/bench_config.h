@@ -3,8 +3,8 @@
 // Shared configuration of the figure-reproduction benches.
 //
 // The paper ran on a 12-core server with a TWO-HOUR timeout per optimizer
-// run and 20 test cases per cell; a faithful rerun takes weeks. Per the
-// DESIGN.md deviation ledger the benches scale the whole experiment down —
+// run and 20 test cases per cell; a faithful rerun takes weeks. The
+// benches therefore scale the whole experiment down —
 // search space (TPC-H scale factor, operator fan-out), timeout, and case
 // count — such that the paper's relative shapes (who times out, who wins,
 // by how many orders of magnitude) are preserved at CI-scale runtimes.

@@ -11,7 +11,7 @@ bool IRAOptimizer::StoppingConditionMet(const ParetoSet& set,
                                         double alpha_u) {
   if (popt == nullptr) return true;
 
-  // Guard strengthening Algorithm 3 (see DESIGN.md "paper-gap note"): when
+  // Guard strengthening Algorithm 3 (its pseudo-code has a gap): when
   // popt violates the bounds, it is the *global* weighted minimum of P, so
   // the deflation test below is vacuously satisfied — the literal
   // pseudo-code would terminate and return a bound-violating plan even

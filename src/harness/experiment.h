@@ -56,7 +56,8 @@ std::vector<double> BestWeightedPerCase(
     const std::vector<std::vector<RunOutcome>>& outcomes_by_algorithm);
 
 /// Reads integer/double configuration from the environment with defaults
-/// (MOQO_CASES, MOQO_TIMEOUT_MS, ... — see DESIGN.md deviation ledger).
+/// (MOQO_CASES, MOQO_TIMEOUT_MS, ... — the scale-down knobs listed in
+/// bench/bench_config.h).
 int EnvInt(const char* name, int default_value);
 double EnvDouble(const char* name, double default_value);
 

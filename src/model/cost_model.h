@@ -17,9 +17,10 @@
 // tests/model/pono_test.cc verifies the principle of near-optimality
 // (Definition 7) for every objective x operator combination.
 //
-// The absolute constants (below) are synthetic but Postgres-flavoured;
-// DESIGN.md's substitution table explains why only the formula structure,
-// not the constants, matters for reproducing the paper.
+// The absolute constants (below) are synthetic but Postgres-flavoured.
+// Only the formula structure matters for reproducing the paper: the
+// guarantees rest on PONO, and every algorithm is compared on the same
+// model, so other constants shift all curves alike.
 
 #ifndef MOQO_MODEL_COST_MODEL_H_
 #define MOQO_MODEL_COST_MODEL_H_

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 
 #include "cost/objective.h"
@@ -463,6 +464,14 @@ bool NetServer::HandleOpenFrontier(const std::shared_ptr<Connection>& conn,
       msg.objectives.size() > static_cast<size_t>(kNumObjectives) ||
       msg.algorithm >= static_cast<int8_t>(kNumAlgorithmKinds)) {
     FailConnection(conn, ErrorCode::kProtocol, "invalid problem spec");
+    return false;
+  }
+  // A NaN or infinite alpha would run NaN-alpha rungs whose cache entries
+  // no later insert can replace; an unbounded max_steps would reserve the
+  // whole ladder on this thread.
+  if (!std::isfinite(msg.alpha) || !std::isfinite(msg.alpha_start) ||
+      !std::isfinite(msg.alpha_target) || msg.max_steps > kMaxLadderSteps) {
+    FailConnection(conn, ErrorCode::kProtocol, "invalid ladder");
     return false;
   }
   std::vector<Objective> objectives;

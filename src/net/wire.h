@@ -84,8 +84,14 @@ enum class ErrorCode : uint8_t {
 /// tokens are part of the documented protocol (README error table).
 const char* ErrorCodeName(ErrorCode code);
 
+/// Largest ladder an OPEN_FRONTIER may request. The server rejects more as
+/// a protocol error: the ladder is built on the event-loop thread, and no
+/// useful refinement has anywhere near this many rungs.
+inline constexpr int32_t kMaxLadderSteps = 64;
+
 /// OPEN_FRONTIER: ProblemSpec (query by id + objectives + overrides) and
 /// the SessionOptions ladder knobs, mirroring OpenFrontier(spec, options).
+/// Every alpha must be finite and max_steps <= kMaxLadderSteps.
 struct OpenFrontierMsg {
   std::string query_id;
   /// Objective enum values, in dimension order.

@@ -34,10 +34,11 @@
 // with identical spec + ladder coalesce onto one runner, and a refining
 // ladder occupies one admission-controlled in-flight slot.
 //
-// Sessions are preference-free: the spec determines the ladder, and every
-// preference is a selection over published frontiers. The
-// preference-dependent algorithms (IRA, weighted-sum) therefore cannot
-// back a session; SubmitAndWait falls back to the classic path for them.
+// Sessions opened through OpenFrontier are preference-free: the spec
+// determines the ladder, and every preference is a selection over
+// published frontiers. The preference-dependent algorithms (IRA,
+// weighted-sum) therefore cannot back one; they run only as the one-rung
+// sessions behind Submit, whose key encodes the caller's preference.
 //
 // Thread safety: all public members are safe to call from any thread, and
 // a session handle remains valid (it just stops refining) after the
@@ -74,7 +75,8 @@ class Tracer;
 struct SessionOptions {
   /// First (coarsest) rung of the alpha ladder. Values <= the target
   /// collapse the ladder to a single rung at the target — that is how
-  /// SubmitAndWait becomes a one-step session.
+  /// Submit becomes a one-rung session. A non-finite value also gives the
+  /// single rung.
   double alpha_start = 4.0;
   /// Final precision; <= 0 derives it from the spec's alpha override or
   /// the policy default.
@@ -239,8 +241,8 @@ class FrontierSession {
   /// Preference stored with cache inserts (the opener's, or uniform);
   /// also the weights quick mode optimizes for.
   Preference insert_preference_;
-  /// Total budget from open in ms (< 0 = none); used by the one-step
-  /// SubmitAndWait shim so queue wait counts against the deadline.
+  /// Total budget from open in ms (< 0 = none); used by one-shot
+  /// (Submit) sessions so queue wait counts against the deadline.
   int64_t total_deadline_ms_ = -1;
   bool registered_ = false;   ///< In the service's session registry.
   bool holds_slot_ = false;   ///< Owns one admission (in-flight) slot.
@@ -272,13 +274,11 @@ class FrontierSession {
   bool degraded_ MOQO_GUARDED_BY(mu_) = false;
   /// Refinement shed by overload mid-ladder.
   bool shed_ MOQO_GUARDED_BY(mu_) = false;
-  /// How the PlanCache answered the opener (kMiss when a ladder ran).
-  CacheOutcome open_outcome_ MOQO_GUARDED_BY(mu_) = CacheOutcome::kMiss;
-  /// The cache entry a born-done session was served from (exact-hit
-  /// classification needs its stored preference).
+  /// The cache entry a born-done session was served from (a one-shot
+  /// response reuses its stored selection when the preference matches).
   std::shared_ptr<const CachedFrontier> cached_entry_ MOQO_GUARDED_BY(mu_);
   /// The last completed rung's full result (or the degraded quick result
-  /// when nothing completed); what the SubmitAndWait shim answers from.
+  /// when nothing completed); what a one-shot response answers from.
   std::shared_ptr<const OptimizerResult> final_result_ MOQO_GUARDED_BY(mu_);
   /// Open-to-ladder-pickup wall time.
   double queue_ms_ MOQO_GUARDED_BY(mu_) = 0;

@@ -8,28 +8,28 @@
 // frontier (cached or quick-mode), refines it in the background over a
 // geometric alpha ladder, answers Select(preference) at any moment in
 // O(|frontier|), and supports cancellation and per-rung deadlines (see
-// service/frontier_session.h for the full story). The classic one-shot
-// calls remain as thin layers over the same machinery:
+// service/frontier_session.h for the full story). The one-shot calls are
+// thin layers over the same machinery — there is one request pipeline:
 //
-//   - SubmitAndWait() is a ONE-STEP session: ladder = {resolved alpha},
-//     no quick prelude, the request deadline as the rung budget. Its
-//     results are byte-identical to driving a session by hand, and
-//     identical-spec deadline-free calls coalesce onto one session.
-//     (Preference-dependent algorithms — IRA, weighted-sum — cannot be
-//     preference-free sessions and fall back to Submit().get().)
-//   - Submit() keeps the PR 1-4 asynchronous pipeline: cache probe ->
-//     in-flight coalescing -> admission control -> worker pool, with
-//     deadline degradation to Section 5.1 quick mode.
+//   - Submit() opens a ONE-RUNG session: ladder = {resolved alpha}, no
+//     quick prelude, the request deadline as the run budget (a run that
+//     exceeds it degrades to Section 5.1 quick mode). Its future resolves
+//     from the session's done callback, byte-identical to driving that
+//     session by hand. Identical-spec deadline-free calls coalesce onto
+//     one session. The preference-dependent algorithms (IRA,
+//     weighted-sum) run the same way; their session key encodes the
+//     preference, so only identical preferences share a run.
+//   - SubmitAndWait() is Submit().get().
 //
-// Both paths share the PlanCache, which since PR 5 uses *relaxed alpha
+// Every request shares the PlanCache, which since PR 5 uses *relaxed alpha
 // identity*: signatures of frontier-producing algorithms are alpha-free
 // (service/signature.h), entries are tagged with the alpha their run
 // achieved, and a tighter-alpha entry serves any looser-alpha request —
 // so a session's refinement ladder progressively upgrades one entry that
 // every later request benefits from, and a request under a tight deadline
 // (coarse policy alpha) is answered by any precise frontier already
-// cached. Exact-run identity, where it matters (in-flight coalescing, the
-// session registry), uses the alpha-extended signature.
+// cached. Exact-run identity, where it matters (the session registry that
+// coalesces identical runs), uses the alpha-extended signature.
 
 #ifndef MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
 #define MOQO_SERVICE_OPTIMIZATION_SERVICE_H_
@@ -130,8 +130,8 @@ struct ServiceOptions {
   int64_t default_deadline_ms = -1;
   /// Set false to bypass the cache entirely (benchmarking cold paths).
   bool enable_cache = true;
-  /// Set false to disable in-flight request coalescing AND session
-  /// coalescing (each duplicate then runs its own optimization).
+  /// Set false to disable coalescing: identical sessions and one-shot
+  /// requests then each run their own optimization.
   bool enable_coalescing = true;
   /// Frontier compaction before caching: PlanSets larger than this are
   /// shrunk to an epsilon-coverage subset (CompactPlanSet) before the
@@ -210,16 +210,15 @@ class OptimizationService {
   std::shared_ptr<FrontierSession> OpenFrontier(ProblemSpec spec,
                                                 SessionOptions options = {});
 
-  /// Submits a request; the future always resolves (accepted requests run
-  /// to completion even during shutdown, rejected ones resolve
-  /// immediately). Never throws on load: overload surfaces as kRejected.
+  /// Submits a request as a one-rung session (ladder = {resolved alpha})
+  /// and answers from its frontier — byte-identical to opening that
+  /// session by hand. Deadline-free duplicates coalesce onto one session.
+  /// The future always resolves (accepted requests run to completion even
+  /// during shutdown; rejected and cache-served ones resolve before Submit
+  /// returns). Never throws on load: overload surfaces as kRejected.
   std::future<ServiceResponse> Submit(ServiceRequest request);
 
-  /// The one-shot compatibility shim: runs `request` as a one-step
-  /// session (ladder = {resolved alpha}) and answers from its frontier —
-  /// byte-identical to opening that session by hand. Deadline-free
-  /// duplicates coalesce onto one session; preference-dependent
-  /// algorithm overrides fall back to Submit().get().
+  /// Submit(request).get().
   ServiceResponse SubmitAndWait(ServiceRequest request);
 
   /// Currently queued or running requests, including coalesced waiters
@@ -281,12 +280,7 @@ class OptimizationService {
   persist::PersistStatsSnapshot PersistStats() const;
 
  private:
-  struct Admitted;  // One queued request's state.
-
-  /// Waiters parked behind one in-flight signature.
-  struct CoalesceEntry {
-    std::vector<std::shared_ptr<Admitted>> waiters;
-  };
+  struct OneShot;  // One Submit() call's state.
 
   /// How OpenSession answered the caller.
   struct OpenInfo {
@@ -301,17 +295,17 @@ class OptimizationService {
   OptimizerOptions MakeOptimizerOptions(double alpha, int64_t timeout_ms,
                                         int parallelism, bool use_memo);
 
-  /// The shared open path behind OpenFrontier and the SubmitAndWait shim.
-  /// `preference` (may be null = uniform) seeds quick-mode weights and the
-  /// cached selection; `deadline_ms` feeds the policy and, for one-step
-  /// sessions, bounds the whole ladder; `hold_slot_if_joined` makes a
-  /// joiner take an admission slot (the shim's waiters stay bounded).
+  /// The shared open path behind OpenFrontier and Submit. A non-null
+  /// `preference` marks a one-shot open: it sets the weights the run
+  /// optimizes for and the cached selection, admits the
+  /// preference-dependent algorithms, and makes a joiner take an admission
+  /// slot (parked one-shot waiters stay bounded). Null means uniform.
+  /// `deadline_ms` feeds the policy and bounds the whole ladder; a
+  /// deadline-bounded open never joins or registers for sharing.
   std::shared_ptr<FrontierSession> OpenSession(ProblemSpec spec,
                                                const SessionOptions& options,
                                                const Preference* preference,
                                                int64_t deadline_ms,
-                                               bool coalescable,
-                                               bool hold_slot_if_joined,
                                                OpenInfo* info);
 
   /// Serves a session directly from a cache entry (born done, no
@@ -362,25 +356,17 @@ class OptimizationService {
       const WeightVector& weights, const BoundVector& bounds,
       double achieved_alpha);
 
-  /// Builds and resolves a response from a cached frontier (exact,
-  /// frontier, or — when the entry was promoted from disk — tier hit).
-  void ServeFromCache(const std::shared_ptr<Admitted>& admitted,
-                      const std::shared_ptr<const CachedFrontier>& cached,
-                      bool from_tier);
+  /// Opens `call`'s one-rung session and subscribes ResolveOneShot to
+  /// its completion.
+  void OpenOneShot(const std::shared_ptr<OneShot>& call);
 
-  /// Rejects a primary that will never run (admission/shutdown), flushing
-  /// any waiters already parked on its coalescing entry.
-  void AbandonPrimary(const std::shared_ptr<Admitted>& admitted);
-
-  /// Resolves a coalesced waiter from the primary's completed result.
-  void ServeCoalesced(const std::shared_ptr<Admitted>& waiter,
-                      const std::shared_ptr<const OptimizerResult>& result);
-
-  /// Removes and returns the waiter list for `signature` (empty if none).
-  std::vector<std::shared_ptr<Admitted>> TakeWaiters(
-      const ProblemSignature& signature);
-
-  void RunRequest(const std::shared_ptr<Admitted>& admitted);
+  /// The one-shot done callback: builds the response from the finished
+  /// session (rejection, cache hit, coalesced hit, or the run it
+  /// started) and resolves the promise. Runs under the session's delivery
+  /// lock, so a joiner of a degraded or failed ladder posts its retry to
+  /// the pool (kRejected if the pool refuses it).
+  void ResolveOneShot(const std::shared_ptr<OneShot>& call,
+                      const FrontierSession& session, const OpenInfo& info);
 
   /// Last-resort degradation (PR 8): when a rung dies mid-flight
   /// (allocation failure, injected fault) and nothing has completed yet,
@@ -427,15 +413,10 @@ class OptimizationService {
       std::make_shared<persist::PersistCounters>();
   Mutex snapshot_mu_;  ///< Serializes SnapshotNow/RestoreNow.
 
-  Mutex coalesce_mu_;
-  /// Keyed by the alpha-EXTENDED signature: runs at different precisions
-  /// must not coalesce even though they share a cache entry.
-  std::unordered_map<ProblemSignature, std::shared_ptr<CoalesceEntry>>
-      inflight_by_signature_ MOQO_GUARDED_BY(coalesce_mu_);
-
-  /// Live refinement sessions by exact session key (spec + ladder + step
-  /// budget); entries are removed when the ladder finishes, *after* its
-  /// final cache insert.
+  /// Live sessions, one-shot runs included, by exact session key (spec +
+  /// ladder + step budget): runs at different precisions never coalesce
+  /// even though they share a cache entry. Entries are removed when the
+  /// ladder finishes, *after* its final cache insert.
   Mutex session_mu_;
   std::unordered_map<ProblemSignature, std::shared_ptr<FrontierSession>>
       sessions_by_key_ MOQO_GUARDED_BY(session_mu_);

@@ -35,8 +35,9 @@ struct ProblemSpec {
   ObjectiveSet objectives;
   /// Overrides for the policy layer's auto-selection. Note: kIra and
   /// kWeightedSum produce preference-dependent output, so their cache
-  /// entries are shared only between identical preferences (and they
-  /// cannot back a FrontierSession, which is preference-free by design).
+  /// entries and runs are shared only between identical preferences: they
+  /// run through Submit, never through OpenFrontier, whose sessions are
+  /// preference-free by design.
   std::optional<AlgorithmKind> algorithm;
   std::optional<double> alpha;
   /// Override for the policy's intra-query DP parallelism (1 = force
@@ -97,7 +98,8 @@ struct ServiceResponse {
   /// Never null unless status == kRejected. Carries the shared PlanSet
   /// (result->plan_set) and the preference's selection from it.
   std::shared_ptr<const OptimizerResult> result;
-  /// Time from Submit() to worker pickup (0 for cache hits / rejects).
+  /// Time from the session open to rung-0 worker pickup (0 for cache hits,
+  /// coalesced hits and rejects).
   double queue_ms = 0;
   /// Total time from Submit() to response.
   double service_ms = 0;

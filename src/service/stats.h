@@ -69,17 +69,17 @@ struct ServiceStatsSnapshot {
   size_t memo_entries = 0;
   size_t memo_bytes = 0;
   /// Anytime-session counters (PR 5). `sessions_opened` counts public
-  /// OpenFrontier calls (the SubmitAndWait shim's internal one-step
-  /// sessions count as requests, not sessions); `sessions_coalesced`
-  /// counts opens (including shim calls) that attached to an already
-  /// running identical refinement instead of starting their own.
+  /// OpenFrontier calls (Submit's internal one-rung sessions count as
+  /// requests, not sessions); `sessions_coalesced` counts opens (including
+  /// Submit calls) that attached to an already running identical
+  /// refinement instead of starting their own.
   uint64_t sessions_opened = 0;
   uint64_t sessions_coalesced = 0;
   /// Refinement ladders currently running (gauge; each holds one
   /// admission slot).
   uint64_t sessions_active = 0;
-  /// Completed ladder rungs across all sessions (includes the shim's
-  /// one-step rungs).
+  /// Completed ladder rungs across all sessions (includes Submit's
+  /// one-rung runs).
   uint64_t refinement_steps = 0;
   /// Ladders ended early by priority admission under overload (PR 7):
   /// the session kept everything it had published, but its remaining

@@ -6,7 +6,8 @@
 // finishes quickly by only generating one plan for all table sets that have
 // not been treated so far." The optimizers poll a Deadline at table-set
 // granularity to implement that behaviour; the experiment harness scales the
-// paper's two-hour budget down (see DESIGN.md deviation ledger).
+// paper's two-hour budget down so a rerun takes minutes, not weeks (see
+// bench/bench_config.h).
 
 #ifndef MOQO_UTIL_DEADLINE_H_
 #define MOQO_UTIL_DEADLINE_H_

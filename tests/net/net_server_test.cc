@@ -12,7 +12,9 @@
 #include "net/net_server.h"
 
 #include <chrono>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -294,6 +296,63 @@ TEST(NetServerTest, ProtocolViolationsGetTypedErrorThenClose) {
   EXPECT_GE(harness.server->Stats().protocol_errors, 3u);
 }
 
+TEST(NetServerTest, NonFiniteAlphaOrOversizedLadderIsProtocolError) {
+  // A non-finite alpha would reach the service as NaN-alpha rungs whose
+  // cache entry no later insert replaces, and an INT_MAX max_steps would
+  // make the event loop reserve 2^31 rungs: both must fail the connection
+  // before the service sees them.
+  ServiceOptions options = FreshRunOptions(1);
+  options.enable_cache = true;
+  Harness harness(options);
+  ASSERT_TRUE(harness.server->Start());
+
+  std::vector<OpenFrontierMsg> malformed;
+  for (double value : {std::nan(""), std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    OpenFrontierMsg open = StarOpen("star3", 3);
+    open.alpha_start = value;
+    malformed.push_back(open);
+    open = StarOpen("star3", 3);
+    open.alpha_target = value;
+    malformed.push_back(open);
+    open = StarOpen("star3", 3);
+    open.alpha = value;
+    malformed.push_back(open);
+  }
+  for (int32_t steps : {net::kMaxLadderSteps + 1,
+                        std::numeric_limits<int32_t>::max()}) {
+    OpenFrontierMsg open = StarOpen("star3", 3);
+    open.max_steps = steps;
+    malformed.push_back(open);
+  }
+  for (size_t i = 0; i < malformed.size(); ++i) {
+    SCOPED_TRACE(i);
+    BlockingNetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()));
+    ASSERT_TRUE(client.SendOpen(malformed[i]));
+    BlockingNetClient::Event event;
+    ASSERT_TRUE(client.NextEvent(&event, kEventTimeoutMs));
+    ASSERT_EQ(event.type, MsgType::kError);
+    EXPECT_EQ(event.error.code, static_cast<uint8_t>(ErrorCode::kProtocol));
+    EXPECT_FALSE(client.NextEvent(&event, kEventTimeoutMs));  // EOF.
+  }
+  // None of them reached the service or its PlanCache...
+  EXPECT_EQ(harness.server->Stats().sessions_opened, 0u);
+  EXPECT_EQ(harness.service->CacheStats().misses, 0u);
+  EXPECT_EQ(harness.service->CacheStats().entries, 0u);
+
+  // ...and the server keeps serving: the well-formed OPEN refines to its
+  // target.
+  BlockingNetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server->port()));
+  ASSERT_TRUE(client.SendOpen(StarOpen("star3", 3)));
+  BlockingNetClient::Event event;
+  ASSERT_TRUE(client.AwaitDone(&event, nullptr, kEventTimeoutMs));
+  EXPECT_EQ(event.done.target_reached, 1);
+  client.SendClose();
+  EXPECT_EQ(harness.server->Stats().protocol_errors, malformed.size());
+}
+
 TEST(NetServerTest, ConnectionChurnWithConcurrentCancels) {
   ServiceOptions options = FreshRunOptions(2);
   Harness harness(options);
@@ -342,8 +401,16 @@ TEST(NetServerTest, ConnectionChurnWithConcurrentCancels) {
   for (std::thread& thread : clients) thread.join();
 
   EXPECT_EQ(failures.load(), 0);
+  // A client's Connect returns once the kernel completed the handshake,
+  // possibly before the event loop accept()ed it: wait for every accept
+  // as well as every teardown.
   EXPECT_TRUE(WaitFor(
-      [&] { return harness.server->Stats().connections_active == 0; },
+      [&] {
+        const net::NetStatsSnapshot now = harness.server->Stats();
+        return now.connections_active == 0 &&
+               now.connections_accepted ==
+                   static_cast<uint64_t>(kThreads * kPerThread);
+      },
       10000));
   const net::NetStatsSnapshot stats = harness.server->Stats();
   EXPECT_EQ(stats.connections_accepted,

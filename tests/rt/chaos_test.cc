@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -310,6 +311,61 @@ TEST(ChaosTest, RungFailureFallsBackToQuickModeFrontier) {
   EXPECT_NE(session->BestFrontier(), nullptr);
   session->Cancel();
   rt::FailpointRegistry::Global().DisarmAll();
+}
+
+TEST(ChaosTest, JoinerOfFailedOneShotRetriesWithItsOwnRun) {
+  if (!rt::kFailpointsEnabled) {
+    GTEST_SKIP() << "built with MOQO_FAILPOINTS=OFF";
+  }
+  // A one-shot joiner cannot be served from a shared run that fell back
+  // to quick mode (that plan was picked for the primary's weights): it
+  // must retry with its own run and still get a full answer.
+  Catalog catalog = MakeTinyCatalog();
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.operators = SmallOperatorSpace();
+  OptimizationService service(options);
+  // every_nth(2): the blocker's rung (visit 1) and the retry (visit 3)
+  // run clean, the shared rung (visit 2) dies.
+  ASSERT_TRUE(rt::FailpointRegistry::Global().Arm("session.rung",
+                                                  "every_nth(2):throw"));
+
+  // Pin the single worker so the duplicate opens both before its rung.
+  ServiceRequest heavy;
+  heavy.spec.query = std::make_shared<Query>(MakeStarQuery(&catalog, 3));
+  heavy.spec.objectives = ObjectiveSet(std::vector<Objective>(
+      kAllObjectives.begin(), kAllObjectives.end()));
+  heavy.spec.algorithm = AlgorithmKind::kExa;
+  heavy.preference.deadline_ms = 10000;
+  std::future<ServiceResponse> heavy_future = service.Submit(heavy);
+
+  ServiceRequest dup;
+  dup.spec.query = std::make_shared<Query>(MakeStarQuery(&catalog, 2));
+  dup.spec.objectives = ObjectiveSet(std::vector<Objective>(
+      kAllObjectives.begin(), kAllObjectives.begin() + 3));
+  dup.spec.algorithm = AlgorithmKind::kRta;
+  dup.spec.alpha = 1.5;
+  std::future<ServiceResponse> primary_future = service.Submit(dup);
+  dup.preference.weights = WeightVector::Uniform(3);
+  dup.preference.weights[0] = 4.0;
+  std::future<ServiceResponse> joiner_future = service.Submit(dup);
+
+  const ServiceResponse primary = primary_future.get();
+  const ServiceResponse joiner = joiner_future.get();
+  EXPECT_NE(heavy_future.get().status, ResponseStatus::kRejected);
+  rt::FailpointRegistry::Global().DisarmAll();
+
+  EXPECT_EQ(service.Stats().sessions_coalesced, 1u);
+  EXPECT_EQ(primary.status, ResponseStatus::kCompletedQuick);
+  ASSERT_EQ(joiner.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(joiner.cache, CacheOutcome::kMiss);
+  ASSERT_NE(joiner.result, nullptr);
+  // Its selection is for its own weights.
+  EXPECT_EQ(joiner.result->weighted_cost,
+            SelectPlan(*joiner.plan_set(), dup.preference.weights,
+                       BoundVector())
+                .weighted_cost);
+  EXPECT_EQ(service.InFlight(), 0u);
 }
 
 TEST(ChaosTest, WatchdogForceFinishesWedgedRung) {

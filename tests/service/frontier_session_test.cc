@@ -297,9 +297,10 @@ TEST(FrontierSessionTest, IdenticalSpecsCoalesceOntoOneLadder) {
   EXPECT_EQ(service.Stats().sessions_coalesced, 1u);
 
   EXPECT_TRUE(first->AwaitTarget());
-  // One optimizer run per rung (plus the heavy blocker), not per opener.
-  EXPECT_EQ(service.Stats().refinement_steps, 2u);
-  EXPECT_EQ(OptimizerRuns(service), service.Stats().refinement_steps + 1);
+  // One optimizer run per rung (plus the heavy blocker, itself a one-rung
+  // session), not per opener.
+  EXPECT_EQ(service.Stats().refinement_steps, first->ladder().size() + 1);
+  EXPECT_EQ(OptimizerRuns(service), service.Stats().refinement_steps);
 
   // Each opener owns one cancel ticket: the first Cancel must not abort
   // the other opener's refinement signal.
@@ -481,6 +482,35 @@ TEST(FrontierSessionTest, LadderStepsReuseSubplanMemoAcrossSessions) {
   // sub-frontiers at the matching precision.
   EXPECT_GT(stats.memo_hits, hits_after_first);
   EXPECT_EQ(stats.refinement_steps, 4u);  // 2 sessions x 2 rungs.
+}
+
+TEST(FrontierSessionTest, NonFiniteAlphaStartCannotPoisonTheCache) {
+  // Geometric interpolation from a NaN or infinite alpha_start yields the
+  // ladder {nan, nan, 1.25}; its NaN rungs would pin a NaN-tagged cache
+  // entry no tighter insert replaces (alpha <= NaN is false), so every
+  // later one-shot request for the spec would miss. Such a start must
+  // collapse to the single rung at the target.
+  Catalog catalog = MakeTinyCatalog();
+  for (double start : {std::nan(""), kInf}) {
+    SCOPED_TRACE(start);
+    OptimizationService service(SmallServiceOptions(1));
+    const ProblemSpec spec = RtaStarSpec(&catalog, 3, 3, 1.25);
+    SessionOptions options;
+    options.alpha_start = start;
+    options.max_steps = 3;
+    auto session = service.OpenFrontier(spec, options);
+    ASSERT_TRUE(session->AwaitTarget());
+    EXPECT_EQ(session->ladder(), std::vector<double>{1.25});
+    EXPECT_EQ(session->BestAlpha(), 1.25);
+
+    ServiceRequest request;
+    request.spec = spec;
+    const ServiceResponse response = service.SubmitAndWait(request);
+    ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+    EXPECT_TRUE(response.cache_hit());
+    EXPECT_EQ(response.alpha, 1.25);
+    EXPECT_EQ(service.CacheStats().entries, 1u);
+  }
 }
 
 TEST(FrontierSessionTest, InvalidSpecsYieldBornDoneSessions) {

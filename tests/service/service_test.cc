@@ -862,5 +862,138 @@ TEST(ServiceTest, SubplanMemoInvalidatedOnCatalogEpochBump) {
   EXPECT_EQ(stats.memo_hits, 0u);
 }
 
+// The preference-dependent algorithms run as one-rung sessions keyed by
+// their preference: the tests below pin that identical preferences share
+// one run, different ones never do, and the async and blocking calls
+// answer identically.
+
+TEST(ServiceTest, WeightedSumOverrideNeverTouchesSubplanMemo) {
+  // The weighted-sum DP keeps one plan per table set, picked by the
+  // request's weights: its sub-results are not determined by the
+  // sub-problem, so it must neither read nor publish memo entries.
+  Catalog catalog = MakeServiceChainCatalog(5);
+  ServiceOptions options = SmallServiceOptions(1);
+  options.subplan_memo.min_tables = 2;
+  options.subplan_memo.admission_epsilon = 0;
+  OptimizationService service(options);
+
+  ServiceRequest request = ChainRequest(&catalog, 0, 3);
+  request.spec.algorithm = AlgorithmKind::kWeightedSum;
+  const ServiceResponse response = service.SubmitAndWait(request);
+  ASSERT_EQ(response.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(response.algorithm, AlgorithmKind::kWeightedSum);
+  ASSERT_NE(response.result->plan, nullptr);
+  const SubplanMemo::Stats memo = service.MemoStats();
+  EXPECT_EQ(memo.hits + memo.misses, 0u);
+  EXPECT_EQ(memo.insertions, 0u);
+  EXPECT_EQ(memo.admission_rejects, 0u);
+
+  // The same chain under the RTA does publish: the check is not vacuous.
+  request.spec.algorithm = AlgorithmKind::kRta;
+  ASSERT_EQ(service.SubmitAndWait(request).status,
+            ResponseStatus::kCompleted);
+  EXPECT_GT(service.MemoStats().insertions, 0u);
+}
+
+/// An IRA request over the 2-dim star, weighted toward objective 0.
+ServiceRequest IraRequest(const Catalog* catalog, double first_weight) {
+  ServiceRequest request = StarRequest(catalog, 2, 3);
+  request.spec.algorithm = AlgorithmKind::kIra;
+  request.spec.alpha = 1.5;
+  request.preference.weights[0] = first_weight;
+  return request;
+}
+
+/// Submits a heavy deadline-bounded EXA that pins a one-worker service,
+/// so requests submitted right after it are all open before any runs.
+std::future<ServiceResponse> SubmitBlocker(OptimizationService* service,
+                                           const Catalog* catalog) {
+  ServiceRequest heavy = StarRequest(catalog, 3, 9);
+  heavy.spec.algorithm = AlgorithmKind::kExa;
+  heavy.preference.deadline_ms = 10000;
+  return service->Submit(heavy);
+}
+
+TEST(ServiceTest, IdenticalIraPreferencesOptimizeOnce) {
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  std::future<ServiceResponse> blocker = SubmitBlocker(&service, &catalog);
+
+  std::future<ServiceResponse> first_future =
+      service.Submit(IraRequest(&catalog, 2.0));
+  std::future<ServiceResponse> second_future =
+      service.Submit(IraRequest(&catalog, 2.0));
+  const ServiceResponse first = first_future.get();
+  const ServiceResponse second = second_future.get();
+  ASSERT_EQ(first.status, ResponseStatus::kCompleted);
+  ASSERT_EQ(second.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(first.algorithm, AlgorithmKind::kIra);
+  EXPECT_EQ(first.cache, CacheOutcome::kMiss);
+  EXPECT_TRUE(second.cache == CacheOutcome::kCoalescedHit ||
+              second.cache_hit());
+  EXPECT_EQ(first.plan_set()->costs(), second.plan_set()->costs());
+  EXPECT_EQ(first.result->cost, second.result->cost);
+
+  EXPECT_NE(blocker.get().status, ResponseStatus::kRejected);
+  EXPECT_EQ(OptimizerRuns(service), 2u);  // The blocker + ONE IRA run.
+  EXPECT_EQ(service.InFlight(), 0u);
+}
+
+TEST(ServiceTest, DifferentIraWeightsOptimizeTwice) {
+  Catalog catalog = MakeTinyCatalog();
+  OptimizationService service(SmallServiceOptions(1));
+  std::future<ServiceResponse> blocker = SubmitBlocker(&service, &catalog);
+
+  std::future<ServiceResponse> first_future =
+      service.Submit(IraRequest(&catalog, 2.0));
+  std::future<ServiceResponse> second_future =
+      service.Submit(IraRequest(&catalog, 3.0));
+  const ServiceResponse first = first_future.get();
+  const ServiceResponse second = second_future.get();
+  ASSERT_EQ(first.status, ResponseStatus::kCompleted);
+  ASSERT_EQ(second.status, ResponseStatus::kCompleted);
+  EXPECT_EQ(first.cache, CacheOutcome::kMiss);
+  EXPECT_EQ(second.cache, CacheOutcome::kMiss);
+
+  EXPECT_NE(blocker.get().status, ResponseStatus::kRejected);
+  EXPECT_EQ(service.Stats().coalesced_hits, 0u);
+  EXPECT_EQ(OptimizerRuns(service), 3u);  // The blocker + one per weight.
+  EXPECT_EQ(service.InFlight(), 0u);
+}
+
+TEST(ServiceTest, PreferenceDependentSubmitMatchesSubmitAndWait) {
+  Catalog catalog = MakeTinyCatalog();
+  ServiceOptions options = SmallServiceOptions(2);
+  options.enable_cache = false;  // Both calls run their own optimizer.
+  OptimizationService service(options);
+
+  for (AlgorithmKind algorithm :
+       {AlgorithmKind::kIra, AlgorithmKind::kWeightedSum}) {
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    ServiceRequest request = IraRequest(&catalog, 2.5);
+    request.spec.algorithm = algorithm;
+    const ServiceResponse async = service.Submit(request).get();
+    const ServiceResponse blocking = service.SubmitAndWait(request);
+    ASSERT_EQ(async.status, ResponseStatus::kCompleted);
+    ASSERT_EQ(blocking.status, ResponseStatus::kCompleted);
+    EXPECT_EQ(async.cache, CacheOutcome::kMiss);
+    EXPECT_EQ(blocking.cache, CacheOutcome::kMiss);
+    EXPECT_EQ(async.plan_set()->costs(), blocking.plan_set()->costs());
+    EXPECT_EQ(async.result->cost, blocking.result->cost);
+
+    // And both equal a fresh standalone run of the same algorithm.
+    MOQOProblem problem;
+    problem.query = request.spec.query.get();
+    problem.objectives = request.spec.objectives;
+    problem.weights = request.preference.weights;
+    std::unique_ptr<OptimizerBase> fresh =
+        MakeOptimizer(algorithm, SmallOptions(*request.spec.alpha));
+    const OptimizerResult reference = fresh->Optimize(problem);
+    EXPECT_EQ(reference.frontier(), async.result->frontier());
+    EXPECT_EQ(reference.cost, async.result->cost);
+  }
+  EXPECT_EQ(service.InFlight(), 0u);
+}
+
 }  // namespace
 }  // namespace moqo
